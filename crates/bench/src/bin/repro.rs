@@ -41,7 +41,7 @@ Benchmark reports and gates (CI):
                              write the measured BENCH report
   repro --check BENCH_alexnet.json [--tolerance 0.05]
                              regression gate: re-run and diff vs the baseline
-  repro par-check            gate: sharded node engine vs the sequential oracle
+  repro par-check            gate: node engine vs the sequential oracle
   repro serve-drill --seed 42 [--write-bench BENCH_serve-drill.json] [--summary]
                     [--stats-json stats.json]
                              seeded chaos drill (gate: exits nonzero on violation);
@@ -70,8 +70,6 @@ Global flags:
   --tier interpreter|compiled  functional execution tier for --sweep,
                                --bench-json, and --check (tiers are
                                bit-identical; wall-clock only)
-  --shards N                   parallel node-engine shard count (0 = auto);
-                               never changes results — par-check enforces it
 ";
 
 /// Runs every experiment in `ids` across a scoped worker pool. Each
@@ -150,9 +148,9 @@ fn drill_into(name: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn degraded_drill(name: &str, dead_cols: usize, shards: usize) -> Result<(), String> {
+fn degraded_drill(name: &str, dead_cols: usize) -> Result<(), String> {
     let net = zoo::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-    let session = Session::single_precision().with_shards(shards);
+    let session = Session::single_precision();
     let healthy = session.compile(&net).map_err(|e| e.to_string())?;
     let failed = FailedTiles::from_columns(0..dead_cols);
     let degraded = session
@@ -178,7 +176,7 @@ fn degraded_drill(name: &str, dead_cols: usize, shards: usize) -> Result<(), Str
         100.0 * deg.images_per_sec / base.images_per_sec
     );
     // The faulted node-engine drill: both layouts under transient link
-    // faults on the sharded engine, each checked against the sequential
+    // faults on the node engine, each checked against the sequential
     // oracle (the drill doubles as a determinism gate).
     let plan = FaultPlan::seeded(42).with_link_faults(LinkFaults {
         prob: 0.2,
@@ -191,12 +189,11 @@ fn degraded_drill(name: &str, dead_cols: usize, shards: usize) -> Result<(), Str
         let got = session.node_outcome(artifact, kind, &plan);
         if got != oracle {
             return Err(format!(
-                "{label}: sharded node engine diverged from the sequential oracle"
+                "{label}: node engine diverged from the sequential oracle"
             ));
         }
         println!(
-            "{label} fault drill ({} shards): {} link retries, {} retry cycles — bit-identical to the sequential oracle",
-            session.resolved_shards(),
+            "{label} fault drill: {} link retries, {} retry cycles — bit-identical to the sequential oracle",
             got.faults.link_retries,
             got.faults.retry_cycles
         );
@@ -211,13 +208,11 @@ fn degraded_drill(name: &str, dead_cols: usize, shards: usize) -> Result<(), Str
 /// the provenance-keyed cache the whole sweep compiles the network
 /// exactly once. Ends with the functional drill: the same training
 /// iteration on both execution tiers, wall-clocked head to head.
-fn sweep(name: &str, tier: ExecBackend, shards: usize) -> Result<(), String> {
+fn sweep(name: &str, tier: ExecBackend) -> Result<(), String> {
     use std::time::Instant;
     type RunFn<'a> = &'a dyn Fn() -> Result<f64, String>;
     let net = zoo::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-    let session = Session::single_precision()
-        .with_exec_backend(tier)
-        .with_shards(shards);
+    let session = Session::single_precision().with_exec_backend(tier);
     let runs: [(&str, RunFn); 3] = [
         ("train", &|| {
             session
@@ -264,23 +259,20 @@ fn sweep(name: &str, tier: ExecBackend, shards: usize) -> Result<(), String> {
         stats.misses, stats.hits, 3
     );
 
-    // The parallel node engine rides along on every sweep: the training
-    // model on the sharded engine against the sequential oracle.
+    // The node engine rides along on every sweep: the training model on
+    // the engine against the sequential oracle.
     let artifact = session.compile(&net).map_err(|e| e.to_string())?;
     let kind = scaledeep_sim::perf::RunKind::Training;
     let oracle = session.node_outcome_sequential(&artifact, kind, &FaultPlan::none());
-    let sharded = session.node_outcome(&artifact, kind, &FaultPlan::none());
-    if sharded != oracle {
+    let node = session.node_outcome(&artifact, kind, &FaultPlan::none());
+    if node != oracle {
         return Err(format!(
-            "{name}: sharded node engine diverged from the sequential oracle"
+            "{name}: node engine diverged from the sequential oracle"
         ));
     }
     println!(
-        "node engine ({} shards): makespan {} cycles, {} images, {} syncs — bit-identical to the sequential oracle",
-        session.resolved_shards(),
-        sharded.makespan,
-        sharded.images_done,
-        sharded.syncs
+        "node engine: makespan {} cycles, {} images, {} syncs — bit-identical to the sequential oracle",
+        node.makespan, node.images_done, node.syncs
     );
 
     // The functional drill: the same training iteration on the
@@ -431,12 +423,11 @@ fn csv_sidecar_path(path: &str) -> String {
 /// port and serves the line-delimited JSON protocol until killed. One
 /// request object per line in, one typed reply/error object per line
 /// out, in order, per connection.
-fn serve(port: u16, workers: usize, queue_capacity: usize, shards: usize) -> Result<(), String> {
+fn serve(port: u16, workers: usize, queue_capacity: usize) -> Result<(), String> {
     use scaledeep_serve::{Server, ServerConfig};
     let cfg = ServerConfig {
         workers,
         queue_capacity,
-        shards,
         ..ServerConfig::default()
     };
     let listener = std::net::TcpListener::bind(("127.0.0.1", port))
@@ -444,11 +435,8 @@ fn serve(port: u16, workers: usize, queue_capacity: usize, shards: usize) -> Res
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
     let server = Server::start(Session::single_precision(), cfg);
     println!(
-        "serving on {addr} ({} workers, queue capacity {}, default deadline {} ms, {} node-engine shards)",
-        cfg.workers,
-        cfg.queue_capacity,
-        cfg.default_deadline_ms,
-        if cfg.shards == 0 { "auto".to_string() } else { cfg.shards.to_string() }
+        "serving on {addr} ({} workers, queue capacity {}, default deadline {} ms)",
+        cfg.workers, cfg.queue_capacity, cfg.default_deadline_ms
     );
     println!(r#"example: {{"tenant":"t0","op":"simulate","network":"alexnet","kind":"training"}}"#);
     server.serve_tcp(&listener).map_err(|e| e.to_string())
@@ -669,15 +657,14 @@ fn serve_drill(
     }
 }
 
-/// `repro par-check`: the CI gate over the sharded node engine. Runs the
+/// `repro par-check`: the CI gate over the node engine. Runs the
 /// whole-node model of each small benchmark — fault-free and under
-/// transient link faults, training and evaluation — at shard counts 1,
-/// 2, 4, and the resolved `--shards` count, and verifies every outcome
-/// is bit-identical to the sequential oracle. Exits nonzero on the first
-/// divergence.
-fn par_check(shards: usize) -> Result<(), String> {
+/// transient link faults, training and evaluation — and verifies every
+/// outcome is bit-identical to the sequential oracle. Exits nonzero on
+/// the first divergence.
+fn par_check() -> Result<(), String> {
     use scaledeep_sim::perf::RunKind;
-    let session = Session::single_precision().with_shards(shards);
+    let session = Session::single_precision();
     let plans = [
         ("fault-free", FaultPlan::none()),
         (
@@ -696,23 +683,17 @@ fn par_check(shards: usize) -> Result<(), String> {
         for (plan_name, plan) in &plans {
             for kind in [RunKind::Training, RunKind::Evaluation] {
                 let oracle = session.node_outcome_sequential(&artifact, kind, plan);
-                for n in [1, 2, 4, session.resolved_shards().max(1)] {
-                    let got = session
-                        .clone()
-                        .with_shards(n)
-                        .node_outcome(&artifact, kind, plan);
-                    if got != oracle {
-                        return Err(format!(
-                            "{name} {kind:?} {plan_name}: {n}-shard run diverged from the sequential oracle"
-                        ));
-                    }
-                    checked += 1;
+                if session.node_outcome(&artifact, kind, plan) != oracle {
+                    return Err(format!(
+                        "{name} {kind:?} {plan_name}: node engine diverged from the sequential oracle"
+                    ));
                 }
+                checked += 1;
             }
         }
-        println!("{name}: sharded runs bit-identical to the sequential oracle");
+        println!("{name}: node engine bit-identical to the sequential oracle");
     }
-    println!("par-check: {checked} sharded runs verified");
+    println!("par-check: {checked} runs verified");
     Ok(())
 }
 
@@ -738,7 +719,7 @@ fn parse_axis(spec: &str) -> Result<(Knob, Vec<KnobValue>), String> {
 /// Figure 14 base point, evaluates every candidate in parallel, prints
 /// the sample with its Pareto frontier, and optionally writes the
 /// deterministic `BENCH_dse-<suite>.json` document.
-fn dse_cmd(args: &[String], shards: usize) -> Result<(), String> {
+fn dse_cmd(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--knobs") {
         for knob in ALL_KNOBS {
             println!("{knob}");
@@ -757,7 +738,7 @@ fn dse_cmd(args: &[String], shards: usize) -> Result<(), String> {
         None => 0,
     };
     if let Some(baseline) = flag("--check") {
-        return dse_check(baseline, workers, shards);
+        return dse_check(baseline, workers);
     }
     let net_name = flag("--net").map(String::as_str).unwrap_or("alexnet");
     let net = zoo::by_name(net_name).ok_or_else(|| format!("unknown benchmark `{net_name}`"))?;
@@ -793,7 +774,7 @@ fn dse_cmd(args: &[String], shards: usize) -> Result<(), String> {
         kind,
         expansion,
         workers,
-        shards,
+        ..DseConfig::default()
     };
     let report = dse::run(&Session::single_precision(), &net, &space, &cfg);
     print_dse(&report);
@@ -846,7 +827,7 @@ fn print_dse(report: &DseReport) {
 /// point, axes, expansion — no side channel) and requires the fresh
 /// document to be byte-identical. On mismatch, prints the first
 /// differing field and fails.
-fn dse_check(path: &str, workers: usize, shards: usize) -> Result<(), String> {
+fn dse_check(path: &str, workers: usize) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let baseline = DseReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
     let net = zoo::by_name(&baseline.network)
@@ -856,7 +837,7 @@ fn dse_check(path: &str, workers: usize, shards: usize) -> Result<(), String> {
         kind: baseline.run_kind()?,
         expansion: baseline.expansion,
         workers,
-        shards,
+        ..DseConfig::default()
     };
     let fresh = dse::run(&Session::single_precision(), &net, &baseline.space(), &cfg);
     let fresh_text = fresh.to_json();
@@ -995,18 +976,6 @@ fn main() {
         }
         None => ExecBackend::Interpreter,
     };
-    let shards = match args.iter().position(|a| a == "--shards") {
-        Some(pos) => {
-            let parsed = args.get(pos + 1).and_then(|s| s.parse::<usize>().ok());
-            let Some(n) = parsed else {
-                eprintln!("--shards requires a non-negative integer (0 = auto)");
-                std::process::exit(1);
-            };
-            args.drain(pos..pos + 2);
-            n
-        }
-        None => 0,
-    };
     if args.iter().any(|a| a == "--list") {
         for id in EXPERIMENT_IDS {
             println!("{id}");
@@ -1036,7 +1005,7 @@ fn main() {
         };
         let workers = parse_or_die(flag_value(&args, "--workers"), "--workers", 4) as usize;
         let queue = parse_or_die(flag_value(&args, "--queue"), "--queue", 16) as usize;
-        if let Err(e) = serve(port, workers.max(1), queue.max(1), shards) {
+        if let Err(e) = serve(port, workers.max(1), queue.max(1)) {
             eprintln!("{e}");
             std::process::exit(1);
         }
@@ -1058,14 +1027,14 @@ fn main() {
         return;
     }
     if args.first().map(String::as_str) == Some("dse") {
-        if let Err(e) = dse_cmd(&args[1..], shards) {
+        if let Err(e) = dse_cmd(&args[1..]) {
             eprintln!("{e}");
             std::process::exit(1);
         }
         return;
     }
     if args.first().map(String::as_str) == Some("par-check") {
-        if let Err(e) = par_check(shards) {
+        if let Err(e) = par_check() {
             eprintln!("{e}");
             std::process::exit(1);
         }
@@ -1178,7 +1147,7 @@ fn main() {
     }
     if let Some(pos) = args.iter().position(|a| a == "--sweep") {
         let name = args.get(pos + 1).map(String::as_str).unwrap_or("alexnet");
-        if let Err(e) = sweep(name, tier, shards) {
+        if let Err(e) = sweep(name, tier) {
             eprintln!("{e}");
             std::process::exit(1);
         }
@@ -1190,7 +1159,7 @@ fn main() {
             .get(pos + 2)
             .and_then(|s| s.parse::<usize>().ok())
             .unwrap_or(1);
-        if let Err(e) = degraded_drill(name, dead, shards) {
+        if let Err(e) = degraded_drill(name, dead) {
             eprintln!("{e}");
             std::process::exit(1);
         }
@@ -1275,7 +1244,6 @@ mod tests {
             "--trace",
             "--list",
             "--tier",
-            "--shards",
         ] {
             assert!(USAGE.contains(needle), "usage text lacks `{needle}`");
         }

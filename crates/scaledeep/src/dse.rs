@@ -58,8 +58,7 @@ pub struct DseConfig {
     /// Worker threads (0 = available cores). Never affects results —
     /// only wall-clock.
     pub workers: usize,
-    /// Parallel node-engine shards per candidate session (0 = available
-    /// cores). Never affects results.
+    /// Ignored; removed with the next benchmark change.
     pub shards: usize,
 }
 
@@ -70,7 +69,7 @@ impl Default for DseConfig {
             kind: RunKind::Training,
             expansion: Expansion::Grid,
             workers: 0,
-            shards: 1,
+            shards: 0,
         }
     }
 }
@@ -208,7 +207,7 @@ fn evaluate(hub: &Session, net: &Network, cfg: &DseConfig, candidate: &Candidate
         }
     };
     let node = point.node_config();
-    let session = hub.retarget(node).with_shards(cfg.shards);
+    let session = hub.retarget(node);
     let run = || -> crate::Result<DsePoint> {
         let traced = session.run_traced(net, cfg.kind, &TraceConfig::default())?;
         let artifact = session.compile(net)?;
@@ -249,8 +248,8 @@ fn evaluate(hub: &Session, net: &Network, cfg: &DseConfig, candidate: &Candidate
 /// Runs the sweep: expands `space` per `cfg.expansion`, evaluates every
 /// candidate across a scoped worker pool (each on an independent session
 /// retargeted from `hub`, all sharing the hub's compile cache), and
-/// assembles the deterministic report. Worker and shard counts never
-/// change the result — candidates write into per-index slots collected
+/// assembles the deterministic report. The worker count never changes
+/// the result — candidates write into per-index slots collected
 /// in candidate order.
 pub fn run(hub: &Session, net: &Network, space: &ParamSpace, cfg: &DseConfig) -> DseReport {
     let candidates = match cfg.expansion {

@@ -138,8 +138,9 @@ pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
 /// * v2 — adds the selected functional execution tier, the host
 ///   wall-clock split (compile / perf-simulate / functional-simulate),
 ///   and the functional drill's cycle-accurate statistics.
-/// * v3 — adds the parallel node engine's shard count and measured
-///   wall-clock scaling (sequential oracle vs 1/2/4/8 shards).
+/// * v3 — adds the node engine's `par` timing group (sequential oracle
+///   vs engine). Its `shards` fields are always 1 now that the engine
+///   is single-threaded; older documents may carry other counts.
 /// * v4 — adds the `design` group: the structural design point the
 ///   session ran on (the arch design layer's canonical document) plus
 ///   its fingerprint, so a report names its architecture as data rather
@@ -176,32 +177,31 @@ pub struct BenchFunctional {
     pub stalls: u64,
 }
 
-/// One row of the parallel node engine's measured wall-clock scaling:
-/// the whole-node model run at a fixed shard count. Every row's outcome
-/// was verified bit-identical to the sequential oracle before the report
-/// was assembled; the nanoseconds are host-dependent and informational,
-/// never entering [`BenchReport::check_against`]. (v3)
+/// One timing row of the node engine: the whole-node model run on the
+/// engine. Its outcome was verified bit-identical to the sequential
+/// oracle before the report was assembled; the nanoseconds are
+/// host-dependent and informational, never entering
+/// [`BenchReport::check_against`]. (v3)
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchShard {
-    /// Shard count of this row.
+    /// Shard count of this row (1 in every report written today).
     pub shards: u64,
-    /// Wall-clock per run at this shard count, in nanoseconds.
+    /// Wall-clock per engine run, in nanoseconds.
     pub nanos: u64,
     /// Sequential-oracle wall-clock over this row's wall-clock.
     pub speedup: f64,
 }
 
-/// The parallel node engine's measurement group of a BENCH report:
-/// the session's resolved shard count, the sequential oracle's
-/// wall-clock, and the per-shard-count scaling rows. Informational. (v3)
+/// The node engine's measurement group of a BENCH report: the
+/// sequential oracle's wall-clock and the engine's timing row.
+/// Informational. (v3)
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchPar {
-    /// The shard count the report's session resolves to (host cores when
-    /// configured as auto).
+    /// Shard count (1 in every report written today).
     pub shards: u64,
     /// Sequential-oracle wall-clock per run, in nanoseconds.
     pub sequential_nanos: u64,
-    /// Measured scaling rows (shard counts 1/2/4/8).
+    /// Measured engine rows (one, at shard count 1).
     pub scaling: Vec<BenchShard>,
 }
 
@@ -344,8 +344,8 @@ pub struct BenchReport {
     /// Functional drill statistics, when the network functionally
     /// compiles; cycle-accurate and checked. (v2)
     pub functional: Option<BenchFunctional>,
-    /// Parallel node engine shard count and measured wall-clock scaling;
-    /// informational. (v3)
+    /// Node engine timing against its sequential oracle; informational.
+    /// (v3)
     pub par: BenchPar,
     /// The design point the session ran on; `None` only for pre-v4
     /// documents. Its fingerprint is an identity field in checks. (v4)
@@ -1181,10 +1181,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_scaling_is_informational_in_checks() {
+    fn node_engine_timing_is_informational_in_checks() {
         // Host-dependent wall-clock numbers must never fail the gate.
         let report = sample_report();
-        assert_eq!(report.par.scaling.len(), 4);
+        assert_eq!(report.par.scaling.len(), 1);
         let mut other = report.clone();
         other.par = BenchPar {
             shards: report.par.shards + 7,

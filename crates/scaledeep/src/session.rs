@@ -268,7 +268,6 @@ pub struct Session {
     stats: Arc<CacheStatsCells>,
     artifact_dir: Option<PathBuf>,
     exec_backend: ExecBackend,
-    shards: usize,
 }
 
 impl Session {
@@ -291,15 +290,14 @@ impl Session {
             stats: Arc::new(CacheStatsCells::default()),
             artifact_dir: None,
             exec_backend: ExecBackend::default(),
-            shards: 0,
         }
     }
 
     /// Re-targets this session onto a different node configuration while
     /// keeping every cache affinity: the in-memory artifact cache, its
-    /// statistics cells, the artifact directory, the execution tier and
-    /// the shard count all carry over. Because cache keys include the
-    /// node's structural fingerprint, one shared cache serves sessions on
+    /// statistics cells, the artifact directory and the execution tier
+    /// all carry over. Because cache keys include the node's structural
+    /// fingerprint, one shared cache serves sessions on
     /// *different* design points correctly — the DSE driver uses this to
     /// give every point its own session while points sharing a compile
     /// (same knobs, same network) reuse one artifact.
@@ -311,32 +309,6 @@ impl Session {
             stats: Arc::clone(&self.stats),
             artifact_dir: self.artifact_dir.clone(),
             exec_backend: self.exec_backend,
-            shards: self.shards,
-        }
-    }
-
-    /// Selects how many event shards the parallel node engine
-    /// ([`Session::node_outcome`]) partitions the simulated node into.
-    /// `0` (the default) resolves to the host's available cores at run
-    /// time. Shard count never changes results — every shard count is
-    /// bit-identical to the sequential oracle — only wall-clock.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// The configured shard count (`0` = auto).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard count runs actually use: the configured count, with `0`
-    /// resolved to the host's available cores.
-    pub fn resolved_shards(&self) -> usize {
-        if self.shards == 0 {
-            par::available_shards()
-        } else {
-            self.shards
         }
     }
 
@@ -605,12 +577,10 @@ impl Session {
     }
 
     /// Runs the whole-node discrete-event model of an already-compiled
-    /// artifact on the sharded parallel engine, using the session's shard
-    /// count ([`Session::with_shards`]; `0` = available cores). The
-    /// outcome is bit-identical to [`Session::node_outcome_sequential`]
-    /// at every shard count — the conservative synchronization windows
-    /// are derived from the fixed minibatch-sync latency, which is exact,
-    /// not merely safe (see DESIGN.md §5h).
+    /// artifact on the image-major node engine. The outcome is
+    /// bit-identical to [`Session::node_outcome_sequential`]: replicas
+    /// couple only at the minibatch sync, where the pipeline fully
+    /// drains, so draining one epoch at a time is exact (DESIGN.md §5h).
     pub fn node_outcome(
         &self,
         artifact: &CompiledArtifact,
@@ -618,11 +588,11 @@ impl Session {
         plan: &FaultPlan,
     ) -> NodeOutcome {
         let model = self.sim.node_model(artifact.mapping(), kind, plan);
-        par::run_node_sharded(&model, self.resolved_shards())
+        par::run_node(&model)
     }
 
     /// The sequential (single event queue) run of the same whole-node
-    /// model — the bit-identity oracle the sharded engine is checked
+    /// model — the bit-identity oracle the node engine is checked
     /// against.
     pub fn node_outcome_sequential(
         &self,
@@ -903,11 +873,11 @@ impl Session {
                 )
             }
         };
-        // The parallel node engine's wall-clock scaling: the same
-        // whole-node model run sequentially and at 1/2/4/8 shards, every
-        // sharded outcome verified bit-identical to the sequential
-        // oracle. The nanoseconds are informational (host-dependent);
-        // the identity check is not.
+        // The node engine's wall-clock against its oracle: the same
+        // whole-node model run on the sequential event queue and on the
+        // image-major engine, the engine's outcome verified bit-identical
+        // to the oracle's. The nanoseconds are informational
+        // (host-dependent); the identity check is not.
         let model = self
             .sim
             .node_model(artifact.mapping(), kind, &FaultPlan::none());
@@ -918,31 +888,25 @@ impl Session {
             oracle = par::run_node_sequential(&model);
         }
         let sequential_nanos = (started.elapsed().as_nanos() / u128::from(SCALING_REPS)) as u64;
-        let mut scaling = Vec::new();
-        for shards in [1usize, 2, 4, 8] {
-            let started = Instant::now();
-            let mut out = par::run_node_sharded(&model, shards);
-            for _ in 1..SCALING_REPS {
-                out = par::run_node_sharded(&model, shards);
-            }
-            let nanos = (started.elapsed().as_nanos() / u128::from(SCALING_REPS)) as u64;
-            if out != oracle {
-                return Err(Error::Setup {
-                    detail: format!(
-                        "parallel node engine diverged from the sequential oracle at {shards} shards"
-                    ),
-                });
-            }
-            scaling.push(crate::report::BenchShard {
-                shards: shards as u64,
-                nanos,
-                speedup: sequential_nanos as f64 / nanos.max(1) as f64,
+        let started = Instant::now();
+        let mut out = par::run_node(&model);
+        for _ in 1..SCALING_REPS {
+            out = par::run_node(&model);
+        }
+        let nanos = (started.elapsed().as_nanos() / u128::from(SCALING_REPS)) as u64;
+        if out != oracle {
+            return Err(Error::Setup {
+                detail: "node engine diverged from the sequential oracle".to_string(),
             });
         }
         let par_scaling = crate::report::BenchPar {
-            shards: self.resolved_shards() as u64,
+            shards: 1,
             sequential_nanos,
-            scaling,
+            scaling: vec![crate::report::BenchShard {
+                shards: 1,
+                nanos,
+                speedup: sequential_nanos as f64 / nanos.max(1) as f64,
+            }],
         };
         let cache = self.cache_stats();
         let wall = crate::report::BenchWall {
@@ -1184,11 +1148,11 @@ mod tests {
     }
 
     #[test]
-    fn node_outcome_is_shard_count_invariant() {
+    fn node_outcome_matches_the_sequential_oracle() {
         use scaledeep_sim::fault::LinkFaults;
         let net = zoo::alexnet();
-        let base = Session::single_precision();
-        let artifact = base.compile(&net).unwrap();
+        let session = Session::single_precision();
+        let artifact = session.compile(&net).unwrap();
         let plans = [
             FaultPlan::none(),
             FaultPlan::seeded(11).with_link_faults(LinkFaults {
@@ -1199,38 +1163,26 @@ mod tests {
         ];
         for plan in &plans {
             for kind in [RunKind::Training, RunKind::Evaluation] {
-                let oracle = base.node_outcome_sequential(&artifact, kind, plan);
+                let oracle = session.node_outcome_sequential(&artifact, kind, plan);
                 assert!(oracle.makespan > 0 && oracle.images_done > 0);
-                for shards in [0, 1, 2, 4] {
-                    let s = base.clone().with_shards(shards);
-                    assert_eq!(s.shards(), shards);
-                    assert!(s.resolved_shards() >= 1);
-                    let got = s.node_outcome(&artifact, kind, plan);
-                    assert_eq!(
-                        got, oracle,
-                        "sharded node outcome diverged at {shards} shards ({kind:?})"
-                    );
-                }
+                assert_eq!(
+                    session.node_outcome(&artifact, kind, plan),
+                    oracle,
+                    "node outcome diverged from the oracle ({kind:?})"
+                );
             }
         }
     }
 
     #[test]
-    fn bench_report_records_shard_scaling() {
+    fn bench_report_times_the_engine_against_its_oracle() {
         let report = Session::single_precision()
             .bench_report(&zoo::alexnet(), RunKind::Training)
             .unwrap();
-        assert!(report.par.shards >= 1);
-        assert_eq!(
-            report
-                .par
-                .scaling
-                .iter()
-                .map(|s| s.shards)
-                .collect::<Vec<_>>(),
-            vec![1, 2, 4, 8]
-        );
-        assert!(report.par.scaling.iter().all(|s| s.speedup > 0.0));
+        assert_eq!(report.par.shards, 1);
+        assert_eq!(report.par.scaling.len(), 1);
+        assert_eq!(report.par.scaling[0].shards, 1);
+        assert!(report.par.scaling[0].speedup > 0.0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::server::{install_chaos_panic_hook, JobHandle, Server, ServerConfig};
 use scaledeep::{report::Table, CacheStats, Session};
 use scaledeep_sim::perf::RunKind;
 use scaledeep_trace::json::{obj, Json};
-use scaledeep_trace::{MetricsRegistry, ProgressUpdate};
+use scaledeep_trace::{fnv1a, MetricsRegistry, ProgressUpdate, FNV_OFFSET};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -135,17 +135,12 @@ pub struct ProgressProbe {
 impl ProgressProbe {
     /// Summarizes one drained stream.
     pub fn from_stream(ordinal: u64, updates: &[ProgressUpdate], dropped: u64) -> Self {
-        fn mix_bytes(digest: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
-            bytes.into_iter().fold(digest, |d, b| {
-                (d ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            })
-        }
-        let mix = |d: u64, v: u64| mix_bytes(d, v.to_le_bytes());
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mix = |d: u64, v: u64| fnv1a(d, &v.to_le_bytes());
+        let mut digest = FNV_OFFSET;
         for u in updates {
             digest = mix(digest, u.seq);
             digest = mix(digest, u.cycle);
-            digest = mix_bytes(digest, u.kind.name().bytes());
+            digest = fnv1a(digest, u.kind.name().as_bytes());
             digest = mix(digest, u.kind.value().unwrap_or(u64::MAX));
             digest = mix(digest, u.syncs);
             digest = mix(digest, u.faults);
@@ -430,17 +425,30 @@ impl DrillReport {
         bad
     }
 
+    /// Informational latency percentiles in µs: queue p50/p99 (from the
+    /// `serve.lat.queue_ns` histogram), then service p50/p99 (the whole
+    /// attempt loop, retry back-off included).
+    fn latency_us(&self) -> [f64; 4] {
+        let pct = |name: &str, p: f64| {
+            self.metrics
+                .histogram_value(name)
+                .map_or(0.0, |h| h.percentile(p))
+        };
+        [
+            pct("serve.lat.queue_ns", 50.0) / 1e3,
+            pct("serve.lat.queue_ns", 99.0) / 1e3,
+            pct("serve.service_us", 50.0),
+            pct("serve.service_us", 99.0),
+        ]
+    }
+
     /// Versioned BENCH JSON: the deterministic `jobs` group CI and
     /// same-seed replays can compare, and an informational `wall` group
     /// (latency percentiles in µs) that varies run to run by design.
     pub fn to_bench_json(&self) -> String {
         let n = |v: u64| Json::Num(v as f64);
         let t = self.totals();
-        let pct = |name: &str, p: f64| {
-            self.metrics
-                .histogram_value(name)
-                .map_or(0.0, |h| h.percentile(p))
-        };
+        let [queue_p50, queue_p99, service_p50, service_p99] = self.latency_us();
         let schedules = Json::Obj(
             self.schedules
                 .iter()
@@ -501,10 +509,10 @@ impl DrillReport {
             (
                 "wall",
                 obj([
-                    ("queue_us_p50", Json::Num(pct("serve.queue_us", 50.0))),
-                    ("queue_us_p99", Json::Num(pct("serve.queue_us", 99.0))),
-                    ("service_us_p50", Json::Num(pct("serve.service_us", 50.0))),
-                    ("service_us_p99", Json::Num(pct("serve.service_us", 99.0))),
+                    ("queue_us_p50", Json::Num(queue_p50)),
+                    ("queue_us_p99", Json::Num(queue_p99)),
+                    ("service_us_p50", Json::Num(service_p50)),
+                    ("service_us_p99", Json::Num(service_p99)),
                 ]),
             ),
         ])
@@ -524,19 +532,11 @@ impl DrillReport {
              cache hits={} disk_hits={}",
             self.cache.hits, self.cache.disk_hits
         );
-        let pct = |name: &str, p: f64| {
-            self.metrics
-                .histogram_value(name)
-                .map_or(0.0, |h| h.percentile(p))
-        };
+        let [queue_p50, queue_p99, service_p50, service_p99] = self.latency_us();
         let _ = writeln!(
             out,
-            "latency (informational): queue p50={:.0}us p99={:.0}us, \
-             service p50={:.0}us p99={:.0}us",
-            pct("serve.queue_us", 50.0),
-            pct("serve.queue_us", 99.0),
-            pct("serve.service_us", 50.0),
-            pct("serve.service_us", 99.0),
+            "latency (informational): queue p50={queue_p50:.0}us p99={queue_p99:.0}us, \
+             service p50={service_p50:.0}us p99={service_p99:.0}us",
         );
         let verdict = self.invariants();
         if verdict.is_empty() {
@@ -600,7 +600,6 @@ pub fn run_drill(cfg: &DrillConfig) -> DrillReport {
         default_deadline_ms: 60_000,
         seed: cfg.seed,
         supervisor_poll_ms: 2,
-        shards: 0,
         progress_capacity: 1024,
     };
     let server = Server::start(Session::single_precision(), server_cfg);

@@ -82,10 +82,6 @@ pub struct ServerConfig {
     /// Supervisor poll cadence, in milliseconds (worker liveness,
     /// deadline sweeps).
     pub supervisor_poll_ms: u64,
-    /// Event-shard count the worker pool's shared session uses for the
-    /// parallel node engine (`0` keeps the session's own setting —
-    /// auto-resolved to available cores unless the caller configured it).
-    pub shards: usize,
     /// Bound on undrained progress updates per job; the channel evicts
     /// (and counts) the oldest past this, so a slow client loses history
     /// but never stalls a worker.
@@ -101,7 +97,6 @@ impl Default for ServerConfig {
             default_deadline_ms: 30_000,
             seed: 0,
             supervisor_poll_ms: 2,
-            shards: 0,
             progress_capacity: 1024,
         }
     }
@@ -390,11 +385,6 @@ pub struct Server {
 impl Server {
     /// Starts `cfg.workers` workers and the supervisor over `session`.
     pub fn start(session: Session, cfg: ServerConfig) -> Self {
-        let session = if cfg.shards > 0 {
-            session.with_shards(cfg.shards)
-        } else {
-            session
-        };
         let shared = Arc::new(Shared {
             session,
             cfg,
@@ -653,7 +643,6 @@ fn process_job(shared: &Arc<Shared>, slot: usize, mut job: Job) {
         return;
     }
     if job.attempts == 0 {
-        shared.observe("serve.queue_us", job.admitted.elapsed().as_micros() as f64);
         shared.observe(
             "serve.lat.queue_ns",
             job.admitted.elapsed().as_nanos() as f64,

@@ -152,24 +152,6 @@ impl Machine {
         self.mems.len()
     }
 
-    /// The instruction budget ([`DEFAULT_FUEL`] unless overridden).
-    pub(crate) fn fuel(&self) -> u64 {
-        self.fuel
-    }
-
-    /// An independent copy sharing no state with `self`: scratchpads and
-    /// external memory are cloned, the tracker table starts empty (runs
-    /// re-arm from their specs anyway) and the fuel budget carries over.
-    /// The [`crate::par`] sharded runner forks one machine per shard.
-    pub(crate) fn fork(&self) -> Machine {
-        Machine {
-            mems: self.mems.clone(),
-            ext: self.ext.clone(),
-            trackers: TrackerTable::new(self.mems.len()),
-            fuel: self.fuel,
-        }
-    }
-
     /// Sizes the external memory (elements).
     pub fn set_ext_capacity(&mut self, elems: usize) {
         self.ext.resize(elems, 0.0);

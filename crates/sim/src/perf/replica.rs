@@ -1,16 +1,16 @@
-//! The shard-embeddable pipeline replica core.
+//! The pipeline replica core.
 //!
 //! [`ReplicaCore`] is the sequential heart of the inter-layer pipeline
 //! DES, extracted so one state machine serves three hosts: the classic
 //! single-replica traced loop in [`super::pipeline`], the node-level
-//! sequential oracle in [`crate::par`], and the sharded parallel engine
+//! sequential oracle in [`crate::par`], and the image-major node engine
 //! in [`crate::par`]. The core owns all replica state — per-stage
 //! backlog, the minibatch admission gate, completion counters, and the
 //! salt-keyed link-retry draws — but performs no I/O of its own: hosts
 //! decide what to do with each [`Step`] (push queue events, emit trace
 //! spans, mirror registry counters), which is what lets the same
 //! dynamics run byte-identically under a tracer, inside a global event
-//! queue, or fast-forwarded image-major inside a shard.
+//! queue, or fast-forwarded image-major one epoch at a time.
 
 use super::stage::StageCost;
 use crate::engine::Cycle;

@@ -37,6 +37,7 @@
 
 pub mod csv;
 pub mod event;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod perfetto;
@@ -45,6 +46,7 @@ pub mod sink;
 
 pub use csv::{busy_cycles_per_track, cycle_csv, utilization_heatmap};
 pub use event::{Category, CategoryMask, Cycle, Event, Payload, TrackId, TrackTable};
+pub use hash::{fnv1a, FNV_OFFSET};
 pub use metrics::{Hist, MetricId, MetricsRegistry, Value};
 pub use perfetto::{chrome_trace, validate_chrome_trace, TraceSummary};
 pub use progress::{
